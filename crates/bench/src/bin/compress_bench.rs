@@ -2,7 +2,8 @@
 //!
 //! Sweeps every backend (SZ, ZFP, MGARD) over payload sizes and relative
 //! tolerances, comparing the optimized hot paths against the frozen
-//! seed-path decoders retained in `errflow_compress::reference`, plus a
+//! seed-path decoders retained in `errflow_compress::reference` (fed the
+//! seed layout of the same data by that module's writers), plus a
 //! chunked-decode thread sweep, and emits `BENCH_compress.json` so the
 //! codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
 //!
@@ -12,12 +13,14 @@
 //! ```
 //!
 //! Every measured decode is also checked **bit-identical** against the
-//! reference decoder and verified against its error bound — the bench
+//! reference decoder on seed-layout streams of the same data (per v2
+//! segment for SZ) and verified against its error bound — the bench
 //! doubles as a format-stability test.  `--smoke` runs a reduced sweep
 //! and **fails** (exit 1) if any optimized decoder is slower than its
 //! seed-path baseline at the default chunk size (65 536 values).
 
 use errflow_compress::chunked::{ChunkedCompressor, DEFAULT_CHUNK};
+use errflow_compress::format::{split_even, V2_STREAMS};
 use errflow_compress::{
     reference, scratch, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
 };
@@ -28,9 +31,8 @@ use std::time::Instant;
 
 struct CodecResult {
     backend: &'static str,
-    /// Stream container version the row measured: `"v1"` (legacy layout,
-    /// bit-identical to the frozen reference decoder) or `"v2"`
-    /// (interleaved multi-stream).
+    /// Stream layout the row measured: `"v2"` (interleaved multi-stream,
+    /// SZ/ZFP) or `"v1"` (MGARD's one layout, shared with the seed).
     format: &'static str,
     n: usize,
     rel_tol: f64,
@@ -39,9 +41,6 @@ struct CodecResult {
     decompress_secs: f64,
     decompress_into_secs: f64,
     reference_secs: f64,
-    /// Whether the row was proven bit-identical against the reference
-    /// decoder (v1 rows only — the oracle predates v2).
-    bit_identical: bool,
 }
 
 struct ChunkedResult {
@@ -82,48 +81,36 @@ fn field(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// `(backend, format, measured compressor, v1 seed compressor)`.  The seed
-/// compressor emits the legacy layout the frozen reference decoder
-/// understands; for v1 rows it is the measured compressor itself, so the
-/// row is additionally proven bit-identical against the oracle.
-#[allow(clippy::type_complexity)]
-fn backends() -> Vec<(
-    &'static str,
-    &'static str,
-    Box<dyn Compressor>,
-    Box<dyn Compressor>,
-)> {
+/// The frozen decoder's reconstruction of `data`, in the form a measured
+/// decode must match bit for bit: ZFP and MGARD from one seed stream of
+/// the whole payload, SZ per v2 segment (its predictor restarts there),
+/// each segment under the whole payload's pointwise budget.
+fn oracle(backend: &str, data: &[f32], bound: &ErrorBound) -> Vec<f32> {
+    if backend != "sz" {
+        let seed = reference::compress(backend, data, bound).expect("seed compress");
+        return reference::decompress(backend, &seed).expect("reference decompress");
+    }
+    let eb = ErrorBound::abs_linf(bound.pointwise_budget(data));
+    split_even(data.len(), V2_STREAMS)
+        .into_iter()
+        .flat_map(|(off, len)| {
+            let seed = reference::sz_compress(&data[off..off + len], &eb).expect("seed compress");
+            reference::decompress("sz", &seed).expect("reference decompress")
+        })
+        .collect()
+}
+
+/// `(backend, format, measured compressor)`.  The seed baseline for each
+/// row decodes `reference::compress(backend, ..)` of the same data.
+fn backends() -> Vec<(&'static str, &'static str, Box<dyn Compressor>)> {
     vec![
         (
             "sz",
             "v2",
-            Box::new(SzCompressor::default()) as Box<dyn Compressor>,
-            Box::new(SzCompressor::v1_format()) as Box<dyn Compressor>,
+            Box::new(SzCompressor::new()) as Box<dyn Compressor>,
         ),
-        (
-            "zfp",
-            "v2",
-            Box::new(ZfpCompressor::default()),
-            Box::new(ZfpCompressor::v1_format()),
-        ),
-        (
-            "sz",
-            "v1",
-            Box::new(SzCompressor::v1_format()),
-            Box::new(SzCompressor::v1_format()),
-        ),
-        (
-            "zfp",
-            "v1",
-            Box::new(ZfpCompressor::v1_format()),
-            Box::new(ZfpCompressor::v1_format()),
-        ),
-        (
-            "mgard",
-            "v1",
-            Box::new(MgardCompressor::default()),
-            Box::new(MgardCompressor::default()),
-        ),
+        ("zfp", "v2", Box::new(ZfpCompressor::new())),
+        ("mgard", "v1", Box::new(MgardCompressor::new())),
     ]
 }
 
@@ -131,7 +118,6 @@ fn run_codec(
     backend: &'static str,
     format: &'static str,
     c: &dyn Compressor,
-    seed_c: &dyn Compressor,
     data: &[f32],
     rel_tol: f64,
     reps: usize,
@@ -140,21 +126,17 @@ fn run_codec(
     let bound = ErrorBound::rel_linf(rel_tol);
     let stream = c.compress(data, &bound).expect("compress");
 
-    // Correctness first.  v1 rows must agree bit-for-bit with the frozen
-    // seed-path decoder; v2 rows (which the oracle predates) are held to
-    // the error-bound contract plus decompress/decompress_into agreement.
+    // Correctness first: bit parity with the frozen decoder, the
+    // error-bound contract, and decompress/decompress_into agreement.
     let fast = c.decompress(&stream).expect("decompress");
-    let bit_identical = format == "v1";
-    if bit_identical {
-        let slow = reference::decompress(backend, &stream).expect("reference decompress");
-        assert_eq!(fast.len(), slow.len(), "{backend}: length mismatch");
-        for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{backend}: optimized and reference decoders diverged at index {i}"
-            );
-        }
+    let slow = oracle(backend, data, &bound);
+    assert_eq!(fast.len(), slow.len(), "{backend}: length mismatch");
+    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{backend}: optimized and reference decoders diverged at index {i}"
+        );
     }
     assert!(
         bound.verify(data, &fast),
@@ -175,9 +157,9 @@ fn run_codec(
         std::hint::black_box(&out);
     });
     assert_eq!(out, fast, "{backend}: decompress_into diverged");
-    // Seed baseline: the frozen decoder on a legacy-layout stream of the
-    // same data, so every row's speedup is against the same yardstick.
-    let seed_stream = seed_c.compress(data, &bound).expect("seed compress");
+    // Seed baseline: the frozen decoder on the seed-layout stream of the
+    // whole payload, so every row's speedup is against the same yardstick.
+    let seed_stream = reference::compress(backend, data, &bound).expect("seed compress");
     let reference_secs = time_best(reps, || {
         std::hint::black_box(reference::decompress(backend, &seed_stream).expect("reference"));
     });
@@ -192,7 +174,6 @@ fn run_codec(
         decompress_secs,
         decompress_into_secs,
         reference_secs,
-        bit_identical,
     }
 }
 
@@ -260,7 +241,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
              \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
-             \"speedup_vs_reference\": {:.2}, \"bit_identical\": {}}}",
+             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true}}",
             r.backend,
             r.format,
             r.n,
@@ -271,7 +252,6 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             gbps(r.n, r.decompress_into_secs),
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
-            r.bit_identical,
         );
         s.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
     }
@@ -369,8 +349,8 @@ fn main() {
             3
         };
         for &tol in &tolerances {
-            for (name, format, c, seed_c) in backends() {
-                let r = run_codec(name, format, c.as_ref(), seed_c.as_ref(), &data, tol, reps);
+            for (name, format, c) in backends() {
+                let r = run_codec(name, format, c.as_ref(), &data, tol, reps);
                 eprintln!(
                     "[compress-bench] {name}/{format} n={n} tol={tol:.0e}: ratio {0:.1}x; \
                      comp {1:.2} GB/s; decomp {2:.2} GB/s (into {3:.2}); \
@@ -389,8 +369,8 @@ fn main() {
 
     let chunked_n = if smoke { DEFAULT_CHUNK * 4 } else { 1 << 20 };
     let chunked_reps = if smoke { 2 } else { 3 };
-    // Every backend/format the serve path can wrap gets the thread sweep
-    // (mgard has no v2 container, so it is v1-only).
+    // Every backend the serve path can wrap gets the thread sweep (mgard
+    // has one layout, so its row keeps the seed's `v1` label).
     let chunked = vec![
         run_chunked(
             "chunked-sz-v2",
@@ -400,22 +380,8 @@ fn main() {
             chunked_reps,
         ),
         run_chunked(
-            "chunked-sz-v1",
-            SzCompressor::v1_format,
-            chunked_n,
-            &thread_counts,
-            chunked_reps,
-        ),
-        run_chunked(
             "chunked-zfp-v2",
             ZfpCompressor::default,
-            chunked_n,
-            &thread_counts,
-            chunked_reps,
-        ),
-        run_chunked(
-            "chunked-zfp-v1",
-            ZfpCompressor::v1_format,
             chunked_n,
             &thread_counts,
             chunked_reps,

@@ -1,21 +1,23 @@
-//! Versioned stream-format constants and helpers for the v2 interleaved
-//! layout.
+//! Stream-format constants and helpers for the v2 interleaved layout,
+//! the one layout the SZ and ZFP backends write and read.
 //!
-//! **v1** streams (the seed format, frozen in [`crate::reference`]) encode
-//! one serial entropy/bit stream per payload: decode throughput is capped
-//! by the single symbol-to-symbol dependency chain.  **v2** streams split
-//! each payload into [`V2_STREAMS`] independently-decodable sub-streams so
-//! the decoder can run several dependency chains at once — interleaved
-//! scalar chains on portable hosts, gather-based AVX2 lanes where
-//! available (see `huffman_simd` / `zfp_simd`).
+//! The seed format (**v1**, still readable only by the frozen decoders in
+//! [`crate::reference`]) encoded one serial entropy/bit stream per payload,
+//! so decode throughput was capped by a single symbol-to-symbol dependency
+//! chain.  **v2** streams split each payload into [`V2_STREAMS`]
+//! independently-decodable sub-streams so the decoder can run several
+//! dependency chains at once: interleaved scalar chains for the Huffman
+//! lanes, and AVX2 block lanes for ZFP where available (see `zfp_simd`).
 //!
 //! A v2 stream opens with [`MAGIC_V2`]: eight bytes whose top byte is
 //! `0xBF`, so reinterpreted as the little-endian `u64` element count that
-//! opens every v1 header it exceeds `2^63` — no decodable v1 stream can
-//! collide (v1 counts are bounded by payload size long before that), and
-//! v1 decoders reject such a count as implausible rather than misparsing.
-//! The byte after the magic tags the backend, so a ZFP v2 stream handed to
-//! the SZ decoder fails with a typed error instead of being misread.
+//! opens every v1 header it exceeds `2^63`.  No v1 stream can collide (v1
+//! counts are bounded by payload size long before that), and
+//! [`read_preamble`] rejects anything that does not open with the magic —
+//! a v1, truncated or foreign stream is a typed
+//! [`CompressError::CorruptStream`], never misparsed.  The byte after the
+//! magic tags the backend, so a ZFP stream handed to the SZ decoder fails
+//! with a typed error instead of being misread.
 
 use crate::traits::CompressError;
 
@@ -42,20 +44,20 @@ pub enum BackendTag {
     Zfp = 2,
 }
 
-/// `true` when `stream` opens with the v2 magic.
-pub fn is_v2(stream: &[u8]) -> bool {
-    stream.len() >= 8 && stream[..8] == MAGIC_V2
-}
-
 /// Parses the fixed v2 preamble (magic, backend tag, sub-stream count),
-/// advancing `pos` past it.  The caller has already checked [`is_v2`];
-/// this validates the tag and bounds the stream count.
+/// advancing `pos` past it.  Checks the magic, validates the tag and
+/// bounds the stream count.
 pub fn read_preamble(
     stream: &[u8],
     pos: &mut usize,
     expect: BackendTag,
 ) -> Result<usize, CompressError> {
-    *pos += 8; // magic, checked by `is_v2`
+    if stream.get(*pos..).and_then(|rest| rest.get(..8)) != Some(&MAGIC_V2[..]) {
+        return Err(CompressError::CorruptStream(
+            "stream does not open with the v2 magic".into(),
+        ));
+    }
+    *pos += 8;
     let tag = crate::traits::read_u8(stream, pos, "v2 backend tag")?;
     if tag != expect as u8 {
         return Err(CompressError::CorruptStream(format!(
@@ -162,7 +164,6 @@ mod tests {
     fn preamble_roundtrip_and_rejections() {
         let mut buf = Vec::new();
         write_preamble(&mut buf, BackendTag::Sz, V2_STREAMS);
-        assert!(is_v2(&buf));
         let mut pos = 0;
         assert_eq!(
             read_preamble(&buf, &mut pos, BackendTag::Sz).unwrap(),
@@ -181,7 +182,28 @@ mod tests {
             let mut pos = 0;
             assert!(read_preamble(&buf, &mut pos, BackendTag::Sz).is_err());
         }
-        assert!(!is_v2(&[1, 2, 3]));
-        assert!(!is_v2(b"EFv1\x9e\xad\xf5\xbf"));
+        // A foreign magic is rejected even with a valid tag and count.
+        let mut buf = b"EFv1\x9e\xad\xf5\xbf".to_vec();
+        buf.extend_from_slice(&[BackendTag::Sz as u8, V2_STREAMS as u8]);
+        let mut pos = 0;
+        assert!(matches!(
+            read_preamble(&buf, &mut pos, BackendTag::Sz),
+            Err(CompressError::CorruptStream(_))
+        ));
+    }
+
+    #[test]
+    fn streams_shorter_than_the_magic_are_a_typed_error() {
+        for len in 0..MAGIC_V2.len() {
+            let mut pos = 0;
+            assert!(
+                matches!(
+                    read_preamble(&MAGIC_V2[..len], &mut pos, BackendTag::Zfp),
+                    Err(CompressError::CorruptStream(_))
+                ),
+                "len={len}"
+            );
+            assert_eq!(pos, 0, "a rejected preamble must not advance the cursor");
+        }
     }
 }

@@ -32,11 +32,11 @@
 //! points ([`encode_multi`], [`decode_multi_into`]) break that chain by
 //! splitting the input into [`crate::format::V2_STREAMS`] contiguous
 //! segments that share one code table but carry **independent payloads**:
-//! the decoder runs one chain per sub-stream — four interleaved scalar
-//! chains portably, or four gather-driven register lanes on AVX2 hosts
-//! (see `huffman_simd`).  Runs are collapsed per segment, so a run never
-//! straddles a sub-stream boundary.  This block format is the entropy
-//! layer of the v2 container streams written by [`crate::SzCompressor`].
+//! the decoder runs one chain per sub-stream, four of them interleaved in
+//! one loop so the out-of-order core overlaps their latencies.  Runs are
+//! collapsed per segment, so a run never straddles a sub-stream boundary.
+//! This block format is the entropy layer of the v2 container streams
+//! written by [`crate::SzCompressor`].
 
 use crate::bitstream::{load_word, BitWriter};
 use crate::traits::{read_len_u32, read_len_u64, read_u8, CompressError};
@@ -79,9 +79,9 @@ pub struct DecodeScratch {
     /// `2^PEEK` entries of `(symbol, code length)`; length 0 = slow path.
     table: Vec<(u32, u8)>,
     /// `2^PEEK` packed entries `len << 32 | sym` for the multi-stream
-    /// decoder (a single-`u64` layout the AVX2 gather kernel can fetch in
-    /// one instruction); length 0 = slow path.  Only one of `table` /
-    /// `table64` is filled per decode, depending on the entry point.
+    /// decoder (one `u64` load yields both fields); length 0 = slow path.
+    /// Only one of `table` / `table64` is filled per decode, depending on
+    /// the entry point.
     table64: Vec<u64>,
     /// Parsed `(symbol, length)` pairs in canonical order.
     lengths: Vec<(u32, u8)>,
@@ -763,8 +763,8 @@ enum FastTable {
     None,
     /// `(symbol, length)` pair entries — the single-stream decode layout.
     Pairs,
-    /// Packed `len << 32 | sym` entries — the multi-stream layout the
-    /// AVX2 gather kernel fetches as single `u64`s.
+    /// Packed `len << 32 | sym` entries — the multi-stream layout, one
+    /// `u64` load per lookup.
     Packed,
 }
 
@@ -861,8 +861,8 @@ pub fn decode_multi(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
 /// Validation mirrors [`decode_into`] per sub-stream, plus the cross-stream
 /// invariants: per-stream output counts must sum to the declared total, and
 /// per-stream payload lengths must all fit the remaining stream.  Decoding
-/// then runs one lane per sub-stream — the AVX2 gather kernel when the host
-/// supports it, interleaved-capable scalar lanes otherwise.
+/// then runs one lane per sub-stream, four-stream blocks through the
+/// interleaved loop.
 pub fn decode_multi_into(
     stream: &[u8],
     out: &mut Vec<u32>,
@@ -1084,37 +1084,19 @@ pub fn decode_multi_into(
     Ok(consumed)
 }
 
-// Test-only switch routing 4-stream decodes through the AVX2 gather
-// kernel, so its parity with the interleaved scalar loop stays covered
-// without mutating process environment from tests.
-#[cfg(all(test, target_arch = "x86_64"))]
-thread_local! {
-    static FORCE_GATHER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
-fn force_gather_for_test() -> bool {
-    FORCE_GATHER.with(|f| f.get())
-}
-
-#[cfg(all(not(test), target_arch = "x86_64"))]
-fn force_gather_for_test() -> bool {
-    false
-}
-
-/// Per-lane decode cursor shared between the scalar lane decoder and the
-/// AVX2 kernel: an absolute bit position in the shared payload region, the
-/// lane's end bit, and how many symbols it has produced.
-pub(crate) struct LaneCursor {
-    pub(crate) bitpos: usize,
-    pub(crate) end_bit: usize,
-    pub(crate) written: usize,
+/// Per-lane decode cursor shared between the interleaved loop and the
+/// scalar lane decoder: an absolute bit position in the shared payload
+/// region, the lane's end bit, and how many symbols it has produced.
+struct LaneCursor {
+    bitpos: usize,
+    end_bit: usize,
+    written: usize,
 }
 
 /// Decodes every sub-stream into its contiguous region of `dst` (regions
-/// ordered by sub-stream, sized `n_symbols` each).  Dispatches to the AVX2
-/// gather kernel when available; the resumable scalar lane decoder runs
-/// the tail (and the whole decode on portable hosts).
+/// ordered by sub-stream, sized `n_symbols` each).  Four-stream blocks
+/// with a fast table run the interleaved loop first; the resumable scalar
+/// lane decoder finishes the tails (and decodes every other shape).
 fn decode_lanes(
     payload: &[u8],
     subs: &[SubStream],
@@ -1139,32 +1121,10 @@ fn decode_lanes(
         })
         .collect();
     if cursors.len() == 4 && !table64.is_empty() {
-        // Two interchangeable hot-loop arms, both leaving cursors resumable
-        // for the scalar finish below.  The interleaved scalar loop is the
-        // default: four dependent load→lookup→shift chains overlap in the
-        // out-of-order core and beat AVX2 `vpgatherqq` table lookups (whose
-        // gather latency dominates) on every x86 host we've measured.  The
-        // gather kernel stays selectable for A/B measurement on future
-        // micro-architectures with faster gathers.
-        #[cfg(target_arch = "x86_64")]
-        let use_gather = errflow_tensor::simd::has_avx2()
-            && !errflow_tensor::simd::force_scalar()
-            && (std::env::var_os("ERRFLOW_HUFF_GATHER").is_some_and(|v| v == "1")
-                || force_gather_for_test());
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_gather = false;
-        if use_gather {
-            #[cfg(target_arch = "x86_64")]
-            crate::huffman_simd::decode_lanes_avx2(
-                payload,
-                table64,
-                canon,
-                &mut cursors,
-                &mut regions,
-            )?;
-        } else {
-            decode_lanes_ilp4(payload, table64, canon, &mut cursors, &mut regions)?;
-        }
+        // Four dependent load→lookup→shift chains overlap in the
+        // out-of-order core; this beat an AVX2 `vpgatherqq` table-lookup
+        // kernel (gather latency dominated) on every x86 host measured.
+        decode_lanes_ilp4(payload, table64, canon, &mut cursors, &mut regions)?;
     }
     for (cur, region) in cursors.iter_mut().zip(regions.iter_mut()) {
         decode_lane_scalar(
@@ -1176,9 +1136,9 @@ fn decode_lanes(
             region,
             &mut cur.written,
         )?;
-        // The SIMD kernel consumes bits without re-checking the lane
-        // boundary per symbol; a lane that ran past its own payload (only
-        // possible on a corrupt stream) is rejected here.
+        // Every decode path bounds its reads by the lane's end; this
+        // re-check keeps a lane that ran past its own payload a typed
+        // error rather than a silent cross-lane decode.
         if cur.bitpos > cur.end_bit {
             return Err(CompressError::CorruptStream(
                 "sub-stream payload overread".into(),
@@ -1355,29 +1315,8 @@ fn decode_lane_scalar(
     Ok(())
 }
 
-/// Decodes a single symbol of one lane — the re-sync step the AVX2 kernel
-/// takes when a lane hits a long code (table miss).
-pub(crate) fn decode_one_symbol(
-    payload: &[u8],
-    bitpos: &mut usize,
-    end_bit: usize,
-    table64: &[u64],
-    canon: &CanonicalArrays<'_>,
-) -> Result<u32, CompressError> {
-    let rem = end_bit.saturating_sub(*bitpos);
-    if !table64.is_empty() && rem > 0 {
-        let entry = table64[(load_word(payload, *bitpos) & ((1u64 << PEEK) - 1)) as usize];
-        let len = (entry >> 32) as usize;
-        if len > 0 && len <= rem {
-            *bitpos += len;
-            return Ok(entry as u32);
-        }
-    }
-    decode_one_slow(payload, bitpos, end_bit, canon)
-}
-
 /// Borrowed canonical decode arrays for the slow (long-code) path.
-pub(crate) struct CanonicalArrays<'a> {
+struct CanonicalArrays<'a> {
     first_code: &'a [u64],
     count: &'a [u32],
     offset: &'a [u32],
@@ -1881,22 +1820,16 @@ mod tests {
         }
     }
 
-    /// The AVX2 gather kernel (the env-selectable multi-stream arm) must
-    /// decode exactly like the default interleaved scalar loop, including
-    /// skewed alphabets whose long codes miss the fast table.
-    #[cfg(target_arch = "x86_64")]
+    /// Four-stream blocks round-trip through the interleaved loop,
+    /// including skewed alphabets whose long codes miss the fast table.
     #[test]
-    fn prop_multi_stream_gather_kernel_matches_scalar() {
-        if !errflow_tensor::simd::has_avx2() {
-            eprintln!("skipping: host lacks AVX2");
-            return;
-        }
+    fn prop_multi_stream_roundtrip_with_long_codes() {
         let mut rng = StdRng::seed_from_u64(0xFACE);
         for round in 0..32 {
             let n = rng.gen_range(1usize..40_000);
             let symbols: Vec<u32> = if round % 3 == 0 {
                 // Geometric-ish skew: long tail of rare symbols → codes
-                // beyond PEEK → gather kernel long-code re-sync path.
+                // beyond PEEK → the long-code recovery path.
                 (0..n)
                     .map(|_| {
                         let r: f64 = rng.gen_range(0.0..1.0);
@@ -1912,13 +1845,9 @@ mod tests {
                 .map(|&(off, len)| &symbols[off..off + len])
                 .collect();
             let enc = encode_multi(&seg_slices);
-            let (scalar, consumed) = decode_multi(&enc).expect("scalar decode");
-            assert_eq!(scalar, symbols);
+            let (dec, consumed) = decode_multi(&enc).expect("decode");
+            assert_eq!(dec, symbols, "round {round}");
             assert_eq!(consumed, enc.len());
-            FORCE_GATHER.with(|f| f.set(true));
-            let gathered = decode_multi(&enc).map(|(s, _)| s);
-            FORCE_GATHER.with(|f| f.set(false));
-            assert_eq!(gathered.expect("gather decode"), symbols, "round {round}");
         }
     }
 }

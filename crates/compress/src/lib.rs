@@ -25,7 +25,6 @@ pub mod chunked;
 pub mod error_bound;
 pub mod format;
 pub mod huffman;
-mod huffman_simd;
 pub mod metrics;
 pub mod mgard;
 pub mod reference;

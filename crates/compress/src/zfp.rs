@@ -16,18 +16,19 @@
 //! [`CompressError::UnsupportedBound`], matching the restriction the paper
 //! notes for Figs. 8, 12 and 14.
 //!
-//! ## Stream versions
+//! ## Stream format
 //!
-//! By default the encoder writes the **v2 interleaved container**: the
+//! The encoder writes the **v2 interleaved container**: the
 //! [`crate::format::MAGIC_V2`] preamble, then the block payload split into
 //! [`crate::format::V2_STREAMS`] independently-decodable sub-streams
 //! (blocks distributed contiguously and evenly).  One serial bit stream
 //! has a carried dependency per block read; four sub-streams let the
 //! decoder run four block pipelines at once — interleaved scalar reads
 //! portably, with the transform/scale stage vectorized over one block per
-//! AVX2 lane (see `zfp_simd`).  [`ZfpCompressor::v1_format`] keeps
-//! emitting the legacy single-stream layout, which every decoder still
-//! accepts (and the frozen [`crate::reference`] oracle proves bit-exact).
+//! AVX2 lane (see `zfp_simd`).  It is the only layout this compressor
+//! writes or reads.  The per-block code is the seed's, so a v2 decode
+//! matches the frozen [`crate::reference`] decoder on the seed's
+//! single-stream v1 layout of the same data bit for bit.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error_bound::ErrorBound;
@@ -39,22 +40,12 @@ pub(crate) const PRECISION: i32 = 38;
 
 /// ZFP-class compressor (see module docs).
 #[derive(Debug, Clone, Default)]
-pub struct ZfpCompressor {
-    /// Emit the legacy v1 single-stream layout instead of v2.
-    emit_v1: bool,
-}
+pub struct ZfpCompressor;
 
 impl ZfpCompressor {
-    /// Creates the compressor with default settings (v2 streams).
+    /// Creates the compressor.
     pub fn new() -> Self {
-        ZfpCompressor::default()
-    }
-
-    /// Creates a compressor that emits the legacy v1 single-stream layout
-    /// (bit-identical to the frozen reference encoder).  Decoding accepts
-    /// both layouts regardless of this setting.
-    pub fn v1_format() -> Self {
-        ZfpCompressor { emit_v1: true }
+        ZfpCompressor
     }
 }
 
@@ -110,34 +101,16 @@ impl Compressor for ZfpCompressor {
                 reason: "ZFP supports pointwise (L-infinity) tolerances only".into(),
             });
         }
-        let budget = bound.pointwise_budget(data);
-        if !self.emit_v1 {
-            return Ok(compress_v2(data, budget));
-        }
-        let mut w = BitWriter::new();
-        for chunk in data.chunks(4) {
-            encode_block(chunk, budget, &mut w);
-        }
-        let payload = w.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(compress_v2(data, bound.pointwise_budget(data)))
     }
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.zfp.decompress");
-        if format::is_v2(stream) {
-            let hdr = parse_header_v2(stream)?;
-            // Allocation is safe: `parse_header_v2` bounded `n` by the
-            // per-stream 2-bits-per-block minimum.
-            let mut out = vec![0.0f32; hdr.n];
-            decompress_v2_into(stream, &hdr, &mut out)?;
-            return Ok(out);
-        }
-        let n = parse_header(stream)?;
-        let mut out = vec![0.0f32; n];
-        decode_into_slice(&stream[8..], &mut out)?;
+        let hdr = parse_header_v2(stream)?;
+        // Allocation is safe: `parse_header_v2` bounded `n` by the
+        // per-stream 2-bits-per-block minimum.
+        let mut out = vec![0.0f32; hdr.n];
+        decompress_v2_into(stream, &hdr, &mut out)?;
         Ok(out)
     }
 
@@ -147,25 +120,15 @@ impl Compressor for ZfpCompressor {
         out: &mut [f32],
         _scratch: &mut crate::scratch::CodecScratch,
     ) -> Result<(), CompressError> {
-        if format::is_v2(stream) {
-            let hdr = parse_header_v2(stream)?;
-            if hdr.n != out.len() {
-                return Err(CompressError::CorruptStream(format!(
-                    "stream declares {} values, expected {}",
-                    hdr.n,
-                    out.len()
-                )));
-            }
-            return decompress_v2_into(stream, &hdr, out);
-        }
-        let n = parse_header(stream)?;
-        if n != out.len() {
+        let hdr = parse_header_v2(stream)?;
+        if hdr.n != out.len() {
             return Err(CompressError::CorruptStream(format!(
-                "stream declares {n} values, expected {}",
+                "stream declares {} values, expected {}",
+                hdr.n,
                 out.len()
             )));
         }
-        decode_into_slice(&stream[8..], out)
+        decompress_v2_into(stream, &hdr, out)
     }
 }
 
@@ -289,26 +252,6 @@ fn decompress_v2_scalar(
 /// the unchecked decode path is safe for a whole block at once.
 pub(crate) const MAX_BLOCK_BITS: usize = 1 + 10 + 6 + 6 + 4 * (1 + 63);
 
-/// Parses and validates the stream header, returning the element count.
-///
-/// The declared count is validated against the payload size *before* any
-/// allocation: every block consumes at least 2 bits (the zero-block case),
-/// so a stream whose payload cannot cover `⌈n/4⌉` blocks is rejected here
-/// instead of erroring mid-decode — and `n` is thereby bounded by 16× the
-/// stream size, making `vec![0.0; n]` safe.
-fn parse_header(stream: &[u8]) -> Result<usize, CompressError> {
-    let mut pos = 0usize;
-    let n = crate::traits::read_len_u64(stream, &mut pos, "element count")?;
-    let payload_bits = (stream.len() - 8).saturating_mul(8);
-    let min_bits = n.div_ceil(4).saturating_mul(2);
-    if min_bits > payload_bits {
-        return Err(CompressError::CorruptStream(format!(
-            "declared {n} values but payload holds only {payload_bits} bits"
-        )));
-    }
-    Ok(n)
-}
-
 /// Decodes the block payload straight into `out`, 4 values per block, with
 /// no per-block allocations.  Blocks whose worst-case footprint fits the
 /// remaining stream take the unchecked bit-read fast path (bounds verified
@@ -318,8 +261,9 @@ fn decode_into_slice(payload: &[u8], out: &mut [f32]) -> Result<(), CompressErro
     decode_blocks_scalar(&mut r, out)
 }
 
-/// Scalar block-decode loop, resumable from any block boundary — the v1
-/// decode path in full, and the per-lane tail of the v2 AVX2 kernel.
+/// Scalar block-decode loop, resumable from any block boundary — each
+/// sub-stream in full on the portable path, and the per-lane tail of the
+/// v2 AVX2 kernel.
 pub(crate) fn decode_blocks_scalar(
     r: &mut BitReader<'_>,
     out: &mut [f32],
@@ -338,7 +282,7 @@ pub(crate) fn decode_blocks_scalar(
     Ok(())
 }
 
-fn encode_block(values: &[f32], budget: f64, w: &mut BitWriter) {
+pub(crate) fn encode_block(values: &[f32], budget: f64, w: &mut BitWriter) {
     debug_assert!(!values.is_empty() && values.len() <= 4);
     // Pad short tail blocks by repeating the last value (cheap to code).
     let mut block = [0.0f32; 4];

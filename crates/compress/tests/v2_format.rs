@@ -1,15 +1,20 @@
-//! Cross-version (v1 ↔ v2) stream-format matrix.
+//! Stream-format matrix for the v2 container, the one layout SZ and ZFP
+//! write and read.
 //!
-//! * v1 streams from the pinned `v1_format()` encoders must decode
-//!   **bit-identically** through the optimized decoders and the frozen
-//!   [`errflow_compress::reference`] oracle — the optimization work on the
-//!   hot paths must never change a v1 result.
+//! * v2 decodes must match the frozen [`errflow_compress::reference`]
+//!   decoders **bit for bit** on the seed (v1) layout of the same data —
+//!   ZFP over the whole payload, SZ per v2 segment (its predictor restarts
+//!   there).  The optimization work on the hot paths must never change a
+//!   reconstructed value.
 //! * v2 streams must round-trip within the requested bound under every
 //!   bound mode the backend supports.
 //! * A v2 header whose declared sub-stream / table lengths don't sum to
-//!   the actual payload must be rejected with a typed
-//!   [`CompressError::CorruptStream`], never silently truncated.
+//!   the actual payload, and a seed-layout stream (plain or chunked), must
+//!   be rejected with a typed [`CompressError::CorruptStream`], never
+//!   silently truncated or misparsed.
 
+use errflow_compress::chunked::ChunkedCompressor;
+use errflow_compress::format::{split_even, V2_STREAMS};
 use errflow_compress::{
     reference, scratch, CompressError, Compressor, ErrorBound, SzCompressor, ZfpCompressor,
 };
@@ -27,33 +32,50 @@ fn field(n: usize) -> Vec<f32> {
         .collect()
 }
 
+fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length mismatch");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what}: decode diverges from the oracle at index {i}"
+        );
+    }
+}
+
+/// An absolute bound gives each per-segment seed stream the same budget as
+/// the whole v2 payload, so the comparison is exact.
 #[test]
-fn v1_streams_decode_bit_identically_to_the_oracle() {
-    let data = field(4097);
+fn v2_decodes_match_the_frozen_oracle_bit_for_bit() {
+    let bound = ErrorBound::abs_linf(1e-4);
     let mut sc = scratch::acquire();
-    let v1_backends: Vec<(&str, Box<dyn Compressor>)> = vec![
-        ("sz", Box::new(SzCompressor::v1_format())),
-        ("zfp", Box::new(ZfpCompressor::v1_format())),
-    ];
-    for (name, v1) in &v1_backends {
-        let bound = ErrorBound::rel_linf(1e-4);
-        let stream = v1.compress(&data, &bound).unwrap();
-        let oracle = reference::decompress(name, &stream).unwrap();
-        let fast = v1.decompress(&stream).unwrap();
-        assert_eq!(oracle.len(), fast.len(), "{name}: length mismatch");
-        for (i, (a, b)) in oracle.iter().zip(&fast).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name}: v1 decode diverges from the oracle at index {i}"
+    for n in [1usize, 5, 4097, 65_536, 100_003] {
+        let data = field(n);
+        let mut into = vec![0.0f32; n];
+
+        let zfp = ZfpCompressor::new();
+        let stream = zfp.compress(&data, &bound).unwrap();
+        let oracle =
+            reference::decompress("zfp", &reference::zfp_compress(&data, &bound).unwrap()).unwrap();
+        assert_bits_eq(&zfp.decompress(&stream).unwrap(), &oracle, "zfp");
+        zfp.decompress_into(&stream, &mut into, &mut sc).unwrap();
+        assert_bits_eq(&into, &oracle, "zfp decompress_into");
+
+        let sz = SzCompressor::new();
+        let stream = sz.compress(&data, &bound).unwrap();
+        let fast = sz.decompress(&stream).unwrap();
+        sz.decompress_into(&stream, &mut into, &mut sc).unwrap();
+        assert_bits_eq(&into, &fast, "sz decompress_into");
+        for (off, len) in split_even(n, V2_STREAMS) {
+            let seg = &data[off..off + len];
+            let oracle =
+                reference::decompress("sz", &reference::sz_compress(seg, &bound).unwrap()).unwrap();
+            assert_bits_eq(
+                &fast[off..off + len],
+                &oracle,
+                &format!("sz n={n} segment {off}"),
             );
         }
-        let mut into = vec![0.0f32; data.len()];
-        v1.decompress_into(&stream, &mut into, &mut sc).unwrap();
-        assert!(oracle
-            .iter()
-            .zip(&into)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }
 
@@ -88,22 +110,6 @@ fn v2_round_trips_under_every_supported_bound_mode() {
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
-}
-
-/// ZFP's v2 container re-encodes the *same* per-block stream, merely split
-/// at block boundaries — so v1 and v2 must reconstruct bit-identical
-/// values, not merely bound-respecting ones.
-#[test]
-fn zfp_v2_reconstruction_matches_v1_exactly() {
-    let data = field(8191);
-    let bound = ErrorBound::rel_linf(1e-5);
-    let v1 = ZfpCompressor::v1_format()
-        .decompress(&ZfpCompressor::v1_format().compress(&data, &bound).unwrap())
-        .unwrap();
-    let v2 = ZfpCompressor::new()
-        .decompress(&ZfpCompressor::new().compress(&data, &bound).unwrap())
-        .unwrap();
-    assert!(v1.iter().zip(&v2).all(|(a, b)| a.to_bits() == b.to_bits()));
 }
 
 /// Flip the first declared sub-stream length in a v2 ZFP header so the
@@ -153,22 +159,81 @@ fn sz_forged_outlier_counts_are_a_typed_corrupt_stream() {
     assert!(sz.decompress(&stream).is_err());
 }
 
-/// Truncating the payload (without touching the header) must also be
-/// rejected by the strict length-sum check, for both backends.
+/// Wraps `chunks` in a canonical chunked container (the layout
+/// `ChunkedCompressor::compress` writes), so the chunked fast path hands
+/// each chunk straight to the inner decoder.
+fn chunked_container(n: usize, chunk_values: usize, chunks: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    out.extend_from_slice(&(chunk_values as u64).to_le_bytes());
+    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    for c in chunks {
+        out.extend_from_slice(&(c.len() as u64).to_le_bytes());
+    }
+    for c in chunks {
+        out.extend_from_slice(c);
+    }
+    out
+}
+
+/// A truncated payload (header untouched) fails the strict length-sum
+/// check, and a seed-layout (v1) stream, plain or inside a chunked
+/// container, lacks the v2 magic: every decode entry point of both
+/// backends must reject each with a typed error.
 #[test]
-fn v2_truncated_payloads_are_rejected() {
-    let data = field(4096);
+fn truncated_and_seed_layout_streams_are_rejected() {
+    let data = field(10_000);
     let bound = ErrorBound::abs_linf(1e-3);
-    for c in [
-        &SzCompressor::new() as &dyn Compressor,
-        &ZfpCompressor::new(),
-    ] {
-        let stream = c.compress(&data, &bound).unwrap();
-        let cut = &stream[..stream.len() - 3];
-        assert!(
-            matches!(c.decompress(cut), Err(CompressError::CorruptStream(_))),
-            "{}: truncated v2 stream must be CorruptStream",
-            c.name()
-        );
+    let chunk = 4_096;
+    let mut sc = scratch::acquire();
+    let mut out = vec![0.0f32; data.len()];
+    let backends: [(&str, Box<dyn Compressor>, Box<dyn Compressor>); 2] = [
+        (
+            "sz",
+            Box::new(SzCompressor::new()),
+            Box::new(ChunkedCompressor::new(SzCompressor::new()).with_chunk_values(chunk)),
+        ),
+        (
+            "zfp",
+            Box::new(ZfpCompressor::new()),
+            Box::new(ChunkedCompressor::new(ZfpCompressor::new()).with_chunk_values(chunk)),
+        ),
+    ];
+    for (name, plain, chunked) in &backends {
+        let v2 = plain.compress(&data, &bound).unwrap();
+        let v1_chunks: Vec<Vec<u8>> = data
+            .chunks(chunk)
+            .map(|c| reference::compress(name, c, &bound).unwrap())
+            .collect();
+        let cases = [
+            (plain, v2[..v2.len() - 3].to_vec(), "truncated v2"),
+            (
+                plain,
+                reference::compress(name, &data, &bound).unwrap(),
+                "v1",
+            ),
+            (
+                chunked,
+                chunked_container(data.len(), chunk, &v1_chunks),
+                "chunked v1",
+            ),
+        ];
+        for (c, stream, what) in &cases {
+            let corrupt = |r: Result<(), CompressError>, entry: &str| {
+                assert!(
+                    matches!(r, Err(CompressError::CorruptStream(_))),
+                    "{name} {what}: {entry} must be CorruptStream, got {r:?}"
+                );
+            };
+            corrupt(c.decompress(stream).map(drop), "decompress");
+            corrupt(
+                c.decompress_into(stream, &mut out, &mut sc),
+                "decompress_into",
+            );
+            for u in &c.decode_units(stream, data.len()).unwrap() {
+                let dst = &mut out[u.offset..u.offset + u.len];
+                corrupt(c.decode_unit_into(u, dst, &mut sc), "decode_unit_into");
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! Architecture (one `Server`):
 //!
 //! ```text
-//!  clients ──▶ admission control ──▶ bounded MPMC queue ──▶ workers
-//!              (QueueFull / block)    (Mutex + Condvar)        │
+//!  clients ──▶ admission control ──▶ sharded queue ───────▶ workers
+//!              (QueueFull / block)    (per-worker,             │
+//!                                      work stealing)          │
 //!                     (dedicated threads on the shared         │
 //!                      errflow_tensor::pool thread pool)       │
 //!                                                              ▼
@@ -28,8 +29,8 @@
 //!                     responses: predictions + certified bound
 //! ```
 //!
-//! - [`queue`]: the bounded queue with explicit backpressure and
-//!   same-key batch draining.
+//! - [`shard`]: the sharded bounded queue with explicit backpressure,
+//!   work stealing and same-key batch draining.
 //! - [`cache`]: log-space tolerance bucketing (floors preserve
 //!   soundness) and the LRU plan cache with hit/miss counters.
 //! - [`batch`]: stacking coalesced jobs into one batched forward pass.
@@ -46,7 +47,6 @@
 pub mod batch;
 pub mod cache;
 pub mod loadgen;
-pub mod queue;
 pub mod server;
 pub mod shard;
 pub mod stats;
@@ -54,9 +54,8 @@ pub mod telemetry;
 
 pub use cache::{bucket_tolerance, PlanCache, PlanKey};
 pub use loadgen::{run_loadgen, BenchSummary, LoadgenConfig};
-pub use queue::{BoundedQueue, QueueFull};
 pub use server::{BackendKind, Request, Response, ServeConfig, ServeError, Server, Ticket};
-pub use shard::ShardedQueue;
+pub use shard::{QueueFull, ShardedQueue};
 pub use stats::{
     BoundMarginSummary, LatencyHistogram, LatencySummary, RequestStages, StageBreakdown,
     StatsSnapshot,

@@ -35,8 +35,7 @@
 
 use crate::batch::{extract_rows, transpose_into};
 use crate::cache::{bucket_tolerance, PlanCache, PlanKey};
-use crate::queue::QueueFull;
-use crate::shard::ShardedQueue;
+use crate::shard::{QueueFull, ShardedQueue};
 use crate::stats::{RequestStages, ServerStats, StatsSnapshot};
 use errflow_compress::chunked::ChunkedCompressor;
 use errflow_compress::{

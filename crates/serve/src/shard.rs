@@ -1,15 +1,14 @@
 //! Sharded admission queues with work stealing — the ingress hot path.
 //!
-//! The original admission path funneled every producer and every worker
-//! through one `Mutex` + `Condvar` ([`crate::queue::BoundedQueue`]); under
-//! many concurrent clients that single lock serializes admission.  This
-//! module shards the queue **per worker**: a producer touches exactly one
+//! A single `Mutex` + `Condvar` queue funnels every producer and every
+//! worker through one lock, which serializes admission under many
+//! concurrent clients.  This module shards the queue **per worker**: a producer touches exactly one
 //! shard lock (chosen round-robin, so load spreads even when every request
 //! shares a plan key), and a worker drains its own shard first, then
 //! *steals* from its neighbours when it runs dry — no global lock anywhere
 //! on the hot path.
 //!
-//! Admission semantics are unchanged from [`BoundedQueue`]:
+//! Admission semantics:
 //!
 //! * the queue is **bounded across all shards** (one atomic occupancy
 //!   counter — not a lock — enforces the global capacity);
@@ -19,10 +18,7 @@
 //!   was full moments ago — the uncontended path never takes it);
 //! * [`ShardedQueue::pop_batch`] drains same-key runs for batching, now
 //!   per shard, and returns `None` once closed and empty.
-//!
-//! [`BoundedQueue`]: crate::queue::BoundedQueue
 
-use crate::queue::QueueFull;
 use errflow_tensor::sync::lock_recover;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,6 +29,11 @@ use std::time::Duration;
 /// interval even without a wakeup, bounding how long a job pushed to a
 /// *different* shard can sit unstolen while its home worker is busy.
 const STEAL_RECHECK: Duration = Duration::from_millis(1);
+
+/// Rejection returned by [`ShardedQueue::try_push`] when the queue is at
+/// capacity (or closed); carries the item back to the caller.
+#[derive(Debug)]
+pub struct QueueFull<T>(pub T);
 
 struct Shard<T> {
     items: Mutex<VecDeque<T>>,
@@ -199,11 +200,11 @@ impl<T> ShardedQueue<T> {
     }
 
     /// Dequeues a head item plus up to `max - 1` more queued items with the
-    /// same `key` for consumer `worker` (same-plan batch coalescing, as
-    /// [`crate::queue::BoundedQueue::pop_batch`]).  The worker's own shard
-    /// is drained first; when it is empty the worker sweeps the other
-    /// shards and steals a batch from the first non-empty one.  Blocks
-    /// while all shards are empty; `None` once closed and drained.
+    /// same `key` for consumer `worker` (same-plan batch coalescing: the
+    /// batch keeps FIFO order and leaves other keys queued).  The worker's
+    /// own shard is drained first; when it is empty the worker sweeps the
+    /// other shards and steals a batch from the first non-empty one.
+    /// Blocks while all shards are empty; `None` once closed and drained.
     pub fn pop_batch<K: PartialEq>(
         &self,
         worker: usize,
@@ -376,8 +377,8 @@ mod tests {
 
     #[test]
     fn pop_batch_coalesces_same_key_within_a_shard() {
-        // One shard so all items land together, mirroring the BoundedQueue
-        // coalescing contract.
+        // One shard so all items land together: the whole queue coalesces
+        // same-key items in FIFO order.
         let q = ShardedQueue::new(1, 16);
         for item in [("a", 0), ("b", 1), ("a", 2), ("c", 3), ("a", 4)] {
             q.try_push(item).unwrap();

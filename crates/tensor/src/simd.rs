@@ -1,11 +1,11 @@
 //! Runtime CPU-feature dispatch shared by every SIMD kernel in the
 //! workspace.
 //!
-//! The GEMM microkernel ([`crate::gemm`]) and the codec decode kernels
-//! (`errflow_compress::{huffman_simd, zfp_simd}`) all follow the same
-//! pattern: a portable scalar body that autovectorizes, plus an
-//! AVX2-instantiated body selected at runtime.  This module centralises the
-//! detection so every kernel asks one cached question instead of repeating
+//! The GEMM microkernel ([`crate::gemm`]) and the ZFP block-decode kernel
+//! (`errflow_compress::zfp_simd`) follow the same pattern: a portable
+//! scalar body that autovectorizes, plus an AVX2-instantiated body
+//! selected at runtime.  This module centralises the detection so every
+//! kernel asks one cached question instead of repeating
 //! `is_x86_feature_detected!` probes, and so tests can reason about which
 //! arm a host will take.
 
